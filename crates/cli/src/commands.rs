@@ -261,7 +261,8 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         }
     }
     // `--batch B`: push B additional sample queries through one resident
-    // batch (the long-lived per-device executor) and report throughput.
+    // batch (the long-lived executor: min(devices, cores) threads, the
+    // caller included) and report throughput.
     if let Some(spec) = flags.get("batch") {
         let batch: usize = spec.parse().map_err(|e| format!("bad --batch: {e}"))?;
         if batch == 0 {
@@ -299,8 +300,9 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         } else {
             println!();
             println!(
-                "resident batch: {batch} queries on {} pinned workers in {:.2} ms \
-                 ({qps:.0} queries/sec)",
+                "resident batch: {batch} queries over {} devices on {} threads \
+                 (caller included) in {:.2} ms ({qps:.0} queries/sec)",
+                sys.devices(),
                 exec.workers(),
                 elapsed.as_secs_f64() * 1e3
             );
@@ -1364,6 +1366,8 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
             );
         }
         if !summary.attribution.is_empty() {
+            // Percentiles are histogram bucket bounds, so render them as
+            // bounds.
             println!("  critical-path attribution (busy_us over the wire):");
             println!(
                 "  {:>6}  {:>9}  {:>9}  {:>9}  {:>8}  {:>8}  {:>10}",
@@ -1371,11 +1375,11 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
             );
             for a in &summary.attribution {
                 println!(
-                    "  {:>6}  {:>9}  {:>9.1}  {:>9.1}  {:>7.1}%  {:>7.1}%  {:>10}",
+                    "  {:>6}  {:>9}  {:>9}  {:>9}  {:>7.1}%  {:>7.1}%  {:>10}",
                     a.node,
                     a.responses,
-                    a.busy_p50_us,
-                    a.busy_p99_us,
+                    format!("≤{:.0}", a.busy_p50_us),
+                    format!("≤{:.0}", a.busy_p99_us),
                     a.critical_share * 100.0,
                     a.recent_critical_share * 100.0,
                     a.merged_requests

@@ -119,8 +119,13 @@ fn simulate_batch_reports_resident_throughput() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
+    // min(devices, cores) threads, the caller included.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     assert!(
-        text.contains("resident batch: 6 queries on 4 pinned workers"),
+        text.contains(&format!(
+            "resident batch: 6 queries over 4 devices on {} threads",
+            cores.min(4)
+        )),
         "{text}"
     );
     assert!(text.contains("queries/sec"), "{text}");

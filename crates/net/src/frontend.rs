@@ -55,7 +55,7 @@ use pmr_core::inverse::{for_each_device_code, FxInverse};
 use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::obs;
-use pmr_rt::obs::snapshot::{absorb, MetricsSnapshot, HIST_BUCKETS};
+use pmr_rt::obs::snapshot::{absorb, bucket_of, HIST_BUCKETS};
 use pmr_storage::exec::{
     merge_device_yields, plan_query, DeviceOutcome, DeviceReport, DeviceYield, ExecPolicy,
     ExecutionReport, PlannedQuery,
@@ -118,9 +118,11 @@ pub struct NodeAttribution {
     pub node: u32,
     /// Responses gathered in time (the attribution sample count).
     pub responses: u64,
-    /// Median observed `busy_us` across gathered responses.
+    /// Median gathered `busy_us`, as the upper bound of the
+    /// [`obs::DEFAULT_US_BOUNDS`] bucket holding it (the largest value
+    /// seen when that is the overflow bucket).
     pub busy_p50_us: f64,
-    /// 99th-percentile observed `busy_us`.
+    /// 99th-percentile gathered `busy_us`, bounded like `busy_p50_us`.
     pub busy_p99_us: f64,
     /// Sum of observed `busy_us` (reconciles against merged counters).
     pub busy_total_us: u64,
@@ -147,6 +149,42 @@ pub struct NodeAttribution {
     pub merged_records: u64,
 }
 
+/// Gathered `busy_us` values bucketed into the
+/// [`obs::DEFAULT_US_BOUNDS`] shape as each response arrives: constant
+/// memory however many batches the frontend serves, and percentiles
+/// without a sort.
+#[derive(Default)]
+struct BusyHist {
+    counts: [AtomicU64; HIST_BUCKETS],
+    max_us: AtomicU64,
+}
+
+impl BusyHist {
+    fn observe(&self, us: u64) {
+        self.counts[bucket_of(us as f64)].fetch_add(1, Ordering::Relaxed);
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Percentile `p` of `counts` (a snapshot of [`BusyHist::counts`]):
+    /// the upper bound of the bucket holding it, or the largest value
+    /// seen when that is the overflow bucket, which has no bound.
+    fn percentile(&self, counts: &[u64], p: f64) -> f64 {
+        let bound = pmr_rt::stats::percentile_from_hist(&obs::DEFAULT_US_BOUNDS, counts, p);
+        if bound.is_finite() {
+            bound
+        } else {
+            self.max_us.load(Ordering::Relaxed) as f64
+        }
+    }
+}
+
 /// Shared mutable node state (collector threads and callers both touch
 /// it).
 struct NodeState {
@@ -155,9 +193,8 @@ struct NodeState {
     requests: AtomicU64,
     responses: AtomicU64,
     timeouts: AtomicU64,
-    /// Every gathered `busy_us`, for attribution percentiles. Bounded by
-    /// the number of batches a frontend serves in its lifetime.
-    busy_samples: Mutex<Vec<f64>>,
+    /// Gathered `busy_us`, bucketed as each response arrives.
+    busy: BusyHist,
     /// Sum of gathered `busy_us`.
     busy_total_us: AtomicU64,
     /// Batches this node's `busy_us` dominated.
@@ -260,17 +297,9 @@ impl<D> Frontend<D> {
             .iter()
             .enumerate()
             .map(|(i, link)| {
-                let mut samples = link.state.busy_samples.lock().unwrap().clone();
-                let busy_p50_us = pmr_rt::stats::percentile(&mut samples, 50.0);
-                let busy_p99_us = pmr_rt::stats::percentile(&mut samples, 99.0);
-                let mut hist = MetricsSnapshot::default();
-                for &us in &samples {
-                    hist.observe_us("busy_us", us);
-                }
-                let busy_hist = hist
-                    .hist("busy_us")
-                    .map(<[u64]>::to_vec)
-                    .unwrap_or_else(|| vec![0; HIST_BUCKETS]);
+                let busy_hist = link.state.busy.counts();
+                let busy_p50_us = link.state.busy.percentile(&busy_hist, 50.0);
+                let busy_p99_us = link.state.busy.percentile(&busy_hist, 99.0);
                 let critical_batches = link.state.critical.load(Ordering::Relaxed);
                 NodeAttribution {
                     node: i as u32,
@@ -367,7 +396,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                 requests: AtomicU64::new(0),
                 responses: AtomicU64::new(0),
                 timeouts: AtomicU64::new(0),
-                busy_samples: Mutex::new(Vec::new()),
+                busy: BusyHist::default(),
                 busy_total_us: AtomicU64::new(0),
                 critical: AtomicU64::new(0),
             });
@@ -512,11 +541,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                     link.state.responses.fetch_add(1, Ordering::Relaxed);
                     obs::counter_add("net.responses", 1);
                     obs::observe_us("net.node_rt_us", resp.busy_us as f64);
-                    link.state
-                        .busy_samples
-                        .lock()
-                        .unwrap()
-                        .push(resp.busy_us as f64);
+                    link.state.busy.observe(resp.busy_us);
                     link.state
                         .busy_total_us
                         .fetch_add(resp.busy_us, Ordering::Relaxed);
@@ -671,5 +696,63 @@ fn lost_yield<D: DistributionMethod>(
         },
         records: Vec::new(),
         lost: codes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Checks that the histogram's p50/p99 are the upper bounds of the
+    /// buckets holding the exact percentiles of `samples`.
+    fn assert_percentiles_in_exact_buckets(samples: &[u64]) {
+        let hist = BusyHist::default();
+        for &us in samples {
+            hist.observe(us);
+        }
+        let counts = hist.counts();
+        assert_eq!(counts.iter().sum::<u64>(), samples.len() as u64);
+        let mut exact: Vec<f64> = samples.iter().map(|&us| us as f64).collect();
+        for p in [50.0, 99.0] {
+            let exact_p = pmr_rt::stats::percentile(&mut exact, p);
+            let reported = hist.percentile(&counts, p);
+            let bucket = bucket_of(exact_p);
+            match obs::DEFAULT_US_BOUNDS.get(bucket) {
+                Some(&upper) => assert_eq!(reported, upper, "p{p}: exact {exact_p}"),
+                // Overflow bucket: bounded by the largest sample.
+                None => assert_eq!(reported, exact.last().copied().unwrap(), "p{p}"),
+            }
+            assert!(exact_p <= reported, "p{p}: exact {exact_p} > {reported}");
+        }
+    }
+
+    #[test]
+    fn busy_percentiles_fall_in_the_exact_percentiles_buckets() {
+        // 60×5, 30×50, 9×500, 1×50_000: p50 = 5 (bucket ≤10), p99 = 995
+        // (bucket ≤1000).
+        let mut samples = vec![5; 60];
+        samples.extend([50; 30]);
+        samples.extend([500; 9]);
+        samples.push(50_000);
+        assert_percentiles_in_exact_buckets(&samples);
+        // A seeded log-spread sample across every bounded bucket.
+        let mut rng = pmr_rt::rng::Rng::seed_from_u64(7);
+        let spread: Vec<u64> = (0..1000)
+            .map(|_| {
+                let decade = rng.gen_range(0..6u32);
+                rng.gen_range(1..10u64) * 10u64.pow(decade)
+            })
+            .collect();
+        assert_percentiles_in_exact_buckets(&spread);
+        // Past the last bound, the largest value seen bounds the tail.
+        assert_percentiles_in_exact_buckets(&[2_000_000, 3_000_000, 4_000_000]);
+    }
+
+    #[test]
+    fn empty_busy_hist_reports_zero() {
+        let hist = BusyHist::default();
+        let counts = hist.counts();
+        assert_eq!(counts, vec![0; HIST_BUCKETS]);
+        assert_eq!(hist.percentile(&counts, 50.0), 0.0);
     }
 }

@@ -1,9 +1,9 @@
 //! `pmr-net` — sharded multi-node query service for partial match
 //! retrieval, built on the Kim & Pramanik FX-declustered storage layer.
 //!
-//! The single-process [`pmr_storage::exec::Executor`] already runs one
-//! resident worker per device; this crate stretches that picture across
-//! node boundaries. A [`Frontend`] plans each query **once** (the same
+//! The single-process [`pmr_storage::exec::Executor`] already splits a
+//! batch over the devices on `min(M, cores)` resident threads; this
+//! crate stretches that picture across node boundaries. A [`Frontend`] plans each query **once** (the same
 //! fast-path-vs-scan cost decision as `pmr-storage::exec`), scatters the
 //! plans to N [`node`]s — each a resident executor over a contiguous
 //! device subrange (see [`partition`]) — over a length-prefixed binary

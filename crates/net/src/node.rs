@@ -1,8 +1,9 @@
 //! A node: one device subrange behind a wire-served resident executor.
 //!
 //! Each node owns a contiguous device range (see [`crate::partition`])
-//! and wraps a [`pmr_storage::exec::Executor`] whose resident workers
-//! cover exactly that range. Its serve loop is request-at-a-time: decode
+//! and wraps a [`pmr_storage::exec::Executor`] that executes exactly
+//! that range, with the serve thread itself as one of the executor's
+//! `min(range length, cores)` threads. Its serve loop is request-at-a-time: decode
 //! a [`ScatterRequest`](crate::wire::ScatterRequest), rebuild the
 //! frontend's plans against the local system, execute, and ship the raw
 //! per-device yields back. A node never merges — merging is the

@@ -16,6 +16,16 @@ use std::sync::atomic::Ordering;
 /// `DEFAULT_US_BOUNDS.len()` bounded buckets plus the overflow bucket.
 pub const HIST_BUCKETS: usize = DEFAULT_US_BOUNDS.len() + 1;
 
+/// The [`HIST_BUCKETS`] index a microsecond observation falls into: the
+/// first bucket whose bound is `>= us`, else the overflow bucket — the
+/// bucketing rule of every registry histogram.
+pub fn bucket_of(us: f64) -> usize {
+    DEFAULT_US_BOUNDS
+        .iter()
+        .position(|&b| us <= b)
+        .unwrap_or(DEFAULT_US_BOUNDS.len())
+}
+
 /// A point-in-time, plain-data copy of metrics state: counter totals and
 /// histogram bucket counts, both name-sorted. Same-bounds snapshots form
 /// a commutative monoid under [`merge`](MetricsSnapshot::merge) (the
@@ -73,10 +83,7 @@ impl MetricsSnapshot {
     /// creating it with [`HIST_BUCKETS`] zeroed buckets on first use —
     /// the same bucketing rule as [`super::observe_us`].
     pub fn observe_us(&mut self, name: &str, us: f64) {
-        let bucket = DEFAULT_US_BOUNDS
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(DEFAULT_US_BOUNDS.len());
+        let bucket = bucket_of(us);
         match self.hists.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
             Ok(i) => self.hists[i].1[bucket] += 1,
             Err(i) => {

@@ -108,32 +108,57 @@ fn take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
 /// Decodes a single record from the front of a borrowed cursor,
 /// advancing it past the consumed bytes. Each `Str`/`Bytes` payload is
 /// copied exactly once, straight from the region into its `Value`.
+///
+/// Two passes over the record's bytes: the first validates every value
+/// without allocating, so the second can build the record's value
+/// storage at its final size in one allocation (collecting an
+/// exact-size iterator) instead of growing a `Vec` and copying it. The
+/// price is a second UTF-8 check per string payload.
 pub fn decode_record_from(cursor: &mut &[u8]) -> Result<Record, DecodeError> {
     let arity = u32::from_le_bytes(take(cursor, 4)?.try_into().unwrap()) as usize;
-    // Never trust the wire for preallocation: a corrupted arity must fail
-    // with `Truncated` below, not abort on a giant allocation. Every value
-    // costs at least 5 encoded bytes (tag + u32 length), bounding the
-    // plausible arity by the remaining region.
-    let mut values = Vec::with_capacity(arity.min(cursor.len() / 5 + 1));
+    let body = *cursor;
+    // Never trust the wire for an arity: a corrupted one fails with
+    // `Truncated` here, before anything is allocated.
     for _ in 0..arity {
-        let tag = take(cursor, 1)?[0];
-        let value = match tag {
-            TAG_INT => Value::Int(i64::from_le_bytes(take(cursor, 8)?.try_into().unwrap())),
-            TAG_STR | TAG_BYTES => {
-                let len = u32::from_le_bytes(take(cursor, 4)?.try_into().unwrap()) as usize;
-                let payload = take(cursor, len)?;
-                if tag == TAG_STR {
-                    let s = std::str::from_utf8(payload).map_err(|_| DecodeError::BadUtf8)?;
-                    Value::Str(s.to_owned())
-                } else {
-                    Value::Bytes(payload.to_vec())
-                }
-            }
-            other => return Err(DecodeError::BadTag(other)),
-        };
-        values.push(value);
+        raw_value(cursor)?;
     }
-    Ok(Record::new(values))
+    let mut body = &body[..body.len() - cursor.len()];
+    Ok((0..arity)
+        .map(|_| match raw_value(&mut body).expect("validated above") {
+            RawValue::Int(i) => Value::Int(i),
+            RawValue::Str(s) => Value::Str(s.to_owned()),
+            RawValue::Bytes(b) => Value::Bytes(b.to_vec()),
+        })
+        .collect())
+}
+
+/// One value as it sits in the region, borrowed.
+enum RawValue<'a> {
+    Int(i64),
+    Str(&'a str),
+    Bytes(&'a [u8]),
+}
+
+/// Reads and validates one value from the front of `cursor`.
+fn raw_value<'a>(cursor: &mut &'a [u8]) -> Result<RawValue<'a>, DecodeError> {
+    let tag = take(cursor, 1)?[0];
+    match tag {
+        TAG_INT => Ok(RawValue::Int(i64::from_le_bytes(
+            take(cursor, 8)?.try_into().unwrap(),
+        ))),
+        TAG_STR | TAG_BYTES => {
+            let len = u32::from_le_bytes(take(cursor, 4)?.try_into().unwrap()) as usize;
+            let payload = take(cursor, len)?;
+            if tag == TAG_STR {
+                std::str::from_utf8(payload)
+                    .map(RawValue::Str)
+                    .map_err(|_| DecodeError::BadUtf8)
+            } else {
+                Ok(RawValue::Bytes(payload))
+            }
+        }
+        other => Err(DecodeError::BadTag(other)),
+    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,10 @@
 //! those fall back to the scan. Results are identical either way — only
 //! `addresses_computed` differs.
 //!
-//! For query *streams*, [`Executor`] keeps the device workers resident
-//! ([`pmr_rt::pool::resident`]) and pipelines whole batches through them
-//! with no per-query thread spawn/join ([`Executor::execute_batch`]).
+//! For query *streams*, [`Executor`] keeps `min(M, cores)` threads
+//! resident ([`pmr_rt::pool::resident`]), the caller among them, and
+//! pipelines whole batches through them with no per-query thread
+//! spawn/join ([`Executor::execute_batch`]).
 
 use crate::cost::CostModel;
 use crate::device::{Device, ReadFault};
@@ -42,6 +43,8 @@ use pmr_rt::fault::RetryPolicy;
 use pmr_rt::obs::{self, TraceSummary};
 use pmr_rt::pool::resident::{ResidentPool, WorkerScratch};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 /// How one device's share of a query was ultimately served.
@@ -894,13 +897,21 @@ where
     }
 }
 
-/// A resident query executor: `M` long-lived pinned workers (one per
-/// device — the paper's symmetric-device model) fed through per-device
-/// mailboxes, so a stream of queries pays zero thread spawn/join.
+/// A resident query executor: each batch runs on `W = min(devices,
+/// available_parallelism)` threads — the calling thread plus `W − 1`
+/// long-lived pinned pool threads (no pool at all when `W = 1`), so a
+/// stream of queries pays zero thread spawn/join and no more wake-ups
+/// than the host has cores.
+///
+/// The threads share one cursor over the executor's devices: each claims
+/// the next device and runs every query of the batch against it (the
+/// paper's symmetric-device model, time-shared over the cores actually
+/// present). Yields are sorted by device afterwards, so which thread ran
+/// which device never shows in a report.
 ///
 /// [`Executor::new`] snapshots the file's devices, method, mirroring
 /// pairing, and a cost model; [`Executor::execute_batch`] then pipelines
-/// any number of queries through the workers. Devices are shared by
+/// any number of queries through the threads. Devices are shared by
 /// `Arc`, so a [`pmr_rt::fault::FaultPlan`] installed on the file *after*
 /// construction is honoured by the resident workers. The mirroring
 /// pairing, by contrast, is snapshotted — construct the executor after
@@ -930,7 +941,9 @@ pub struct Executor<D> {
     /// full system — buddy failover may read another device's mirror
     /// pages even when that device executes elsewhere.
     range: std::ops::Range<u64>,
-    pool: ResidentPool,
+    /// The `W − 1` helper threads; `None` when `W = 1` (the caller runs
+    /// the whole batch inline).
+    pool: Option<ResidentPool>,
 }
 
 /// A query plus the batch executor's dispatch decision, computed once on
@@ -1007,22 +1020,32 @@ struct BatchCtx<D> {
     cost: CostModel,
     policy: ExecPolicy,
     plans: Vec<QueryPlan>,
+    /// The next unclaimed device; threads claim devices from it until it
+    /// passes `end`.
+    next_device: AtomicU64,
+    end: u64,
 }
 
+/// What one thread hands back for a batch: its `(query index, yield)`
+/// pairs, or the panic that stopped it.
+type ShareResult = std::thread::Result<Vec<(usize, DeviceYield)>>;
+
 impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
-    /// Starts `M` resident workers for `file`'s system and snapshots the
-    /// execution context (see the type docs for what is shared vs
+    /// Starts the resident threads for `file`'s `M` devices and snapshots
+    /// the execution context (see the type docs for what is shared vs
     /// snapshotted).
     pub fn new(file: &DeclusteredFile<D>, cost: CostModel) -> Executor<D> {
         let m = file.system().devices();
         Self::for_device_range(file, cost, 0..m)
     }
 
-    /// Starts resident workers for the devices in `range` only — one
+    /// Starts resident threads for the devices in `range` only — one
     /// node's share of a scatter/gather deployment. The executor still
     /// snapshots every device (buddy failover reads mirror pages that may
     /// live outside the range), but only `range`'s devices execute, so
     /// [`Executor::execute_planned`] yields exactly that subrange.
+    /// Batches run on `min(range length, available_parallelism)` threads,
+    /// the caller included.
     ///
     /// # Panics
     ///
@@ -1032,12 +1055,25 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         cost: CostModel,
         range: std::ops::Range<u64>,
     ) -> Executor<D> {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::with_threads(file, cost, range, cores)
+    }
+
+    /// [`Executor::for_device_range`] on `threads` threads, caller
+    /// included, clamped to `1..=range length`.
+    pub(crate) fn with_threads(
+        file: &DeclusteredFile<D>,
+        cost: CostModel,
+        range: std::ops::Range<u64>,
+        threads: usize,
+    ) -> Executor<D> {
         let sys = file.system().clone();
         assert!(
             range.start < range.end && range.end <= sys.devices(),
             "device range {range:?} invalid for M = {}",
             sys.devices()
         );
+        let threads = threads.clamp(1, (range.end - range.start) as usize);
         Executor {
             devices: file.devices().to_vec(),
             sys,
@@ -1045,14 +1081,15 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             mirroring: file.mirroring().copied(),
             parity: file.parity().cloned(),
             cost,
-            pool: ResidentPool::new((range.end - range.start) as usize),
+            pool: (threads > 1).then(|| ResidentPool::new(threads - 1)),
             range,
         }
     }
 
-    /// Number of resident device workers (`M`, or the subrange length).
+    /// Number of threads a batch runs on, the caller included: `W =
+    /// min(devices in range, available_parallelism)`.
     pub fn workers(&self) -> u64 {
-        self.range.end - self.range.start
+        self.pool.as_ref().map_or(1, |p| p.workers() as u64 + 1)
     }
 
     /// The contiguous device subrange this executor serves.
@@ -1060,18 +1097,18 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         self.range.clone()
     }
 
-    /// Executes a batch of queries, pipelined: each worker receives one
-    /// job per batch and loops over every query for its device, reusing
-    /// its scratch codes buffer and the per-`Pattern` plan cache across
-    /// the whole batch. Reports come back in query order.
+    /// Executes a batch of queries, pipelined: each thread claims devices
+    /// one at a time and loops over every query for each, reusing its
+    /// scratch codes buffer and the per-`Pattern` plan cache across the
+    /// whole batch. Reports come back in query order.
     ///
     /// Fault handling is [`execute_parallel_with`]'s policy path running
     /// unchanged on resident workers — degraded coverage, never an error.
     ///
     /// # Panics
     ///
-    /// Re-raises a worker panic on the calling thread, like the scoped
-    /// executors do.
+    /// Re-raises a panic from any thread's share on the calling thread,
+    /// like the scoped executors do.
     pub fn execute_batch(
         &self,
         queries: &[PartialMatchQuery],
@@ -1114,11 +1151,11 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         if planned.is_empty() {
             return Vec::new();
         }
-        let workers = self.workers();
+        let devices = self.range.end - self.range.start;
         let _span = pmr_rt::span!(
             "exec.batch",
             queries = planned.len() as u64,
-            devices = workers
+            devices = devices
         );
         obs::counter_add("exec.batch.queries", planned.len() as u64);
         if let Some(capacity) = policy.cache {
@@ -1175,33 +1212,44 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             cost: self.cost,
             policy: policy.clone(),
             plans,
+            next_device: AtomicU64::new(self.range.start),
+            end: self.range.end,
         });
-        let (tx, rx) = mpsc::channel::<Vec<(usize, DeviceYield)>>();
-        for device in self.range.clone() {
-            let ctx = Arc::clone(&ctx);
-            let tx = tx.clone();
-            self.pool
-                .submit((device - self.range.start) as usize, move |scratch| {
-                    batch_worker(&ctx, device, scratch, &tx)
+        let (tx, rx) = mpsc::channel::<ShareResult>();
+        let helpers = self.pool.as_ref().map_or(0, ResidentPool::workers);
+        if let Some(pool) = &self.pool {
+            for worker in 0..helpers {
+                let ctx = Arc::clone(&ctx);
+                let tx = tx.clone();
+                pool.submit(worker, move |scratch| {
+                    let share = catch_unwind(AssertUnwindSafe(|| run_share(&ctx, scratch)));
+                    // Collector gone (batch abandoned) is fine to ignore.
+                    let _ = tx.send(share);
                 });
+            }
         }
         drop(tx);
+        let own = catch_unwind(AssertUnwindSafe(|| {
+            run_share(&ctx, &mut WorkerScratch::default())
+        }));
+        // Wait for every helper before re-raising anything, so a panicked
+        // batch leaves no work behind on the pool.
+        let mut shares = Vec::with_capacity(helpers + 1);
+        shares.push(own);
+        shares.extend(rx.iter().take(helpers));
         let mut yields: Vec<Vec<DeviceYield>> = (0..queries_in_batch)
-            .map(|_| Vec::with_capacity(workers as usize))
+            .map(|_| Vec::with_capacity(devices as usize))
             .collect();
-        for worker_yields in rx {
-            for (query_index, yielded) in worker_yields {
+        for share in shares {
+            let share = share.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (query_index, yielded) in share {
                 yields[query_index].push(yielded);
             }
         }
-        if yields.iter().any(|q| q.len() != workers as usize) {
-            // A worker died mid-batch; surface its panic like the scoped
-            // executors would.
-            if let Some(payload) = self.pool.take_panic() {
-                std::panic::resume_unwind(payload);
-            }
-            panic!("resident worker stopped without reporting a panic");
-        }
+        assert!(
+            yields.iter().all(|q| q.len() == devices as usize),
+            "a resident helper stopped without reporting its share"
+        );
         for q in &mut yields {
             q.sort_by_key(|y| y.report.device);
         }
@@ -1209,23 +1257,39 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     }
 }
 
-/// One resident worker's share of a batch: for each query, enumerate the
-/// codes this device owns (fast inverse or generic scan, per the
-/// caller-computed plan), read them under the policy, and accumulate the
-/// yield tagged with its query index. All yields post back in **one**
-/// message per worker per batch — per-yield sends would wake the
-/// collector up to `queries × M` times, which on loaded (or few-core)
-/// hosts costs more in futex traffic than the reads themselves. The
-/// codes buffer lives in the worker's scratch — allocated once per
-/// worker lifetime, not once per query.
+/// One thread's share of a batch: claims devices from the batch cursor
+/// until none are left and runs the whole batch against each. All of the
+/// thread's yields go back in **one** message per batch — per-device or
+/// per-yield sends would wake the collector up to `queries × M` times,
+/// which on loaded (or few-core) hosts costs more in futex traffic than
+/// the reads themselves.
+fn run_share<D: DistributionMethod>(
+    ctx: &BatchCtx<D>,
+    scratch: &mut WorkerScratch,
+) -> Vec<(usize, DeviceYield)> {
+    let mut out = Vec::new();
+    loop {
+        let device = ctx.next_device.fetch_add(1, Ordering::Relaxed);
+        if device >= ctx.end {
+            return out;
+        }
+        batch_worker(ctx, device, scratch, &mut out);
+    }
+}
+
+/// One device's share of a batch: for each query, enumerate the codes
+/// this device owns (fast inverse or generic scan, per the
+/// caller-computed plan), read them under the policy, and append the
+/// yield tagged with its query index. The codes buffer lives in the
+/// thread's scratch — allocated once per thread lifetime, not once per
+/// query.
 fn batch_worker<D: DistributionMethod>(
     ctx: &BatchCtx<D>,
     device: u64,
     scratch: &mut WorkerScratch,
-    results: &mpsc::Sender<Vec<(usize, DeviceYield)>>,
+    out: &mut Vec<(usize, DeviceYield)>,
 ) {
     let buddy = ctx.buddies.map(|p| p.buddy_of(device));
-    let mut out = Vec::with_capacity(ctx.plans.len());
     for (query_index, plan) in ctx.plans.iter().enumerate() {
         let _span = pmr_rt::span!("exec.device", device = device);
         let codes: &mut Vec<u64> = scratch.get_or_default();
@@ -1258,8 +1322,6 @@ fn batch_worker<D: DistributionMethod>(
         );
         out.push((query_index, yielded));
     }
-    // Collector gone (batch abandoned) is fine to ignore.
-    let _ = results.send(out);
 }
 
 /// The generic per-device worker: packed inverse scan + bucket reads.
@@ -1556,6 +1618,228 @@ mod tests {
         assert_eq!(first[0], second[0]);
         assert_eq!(second[0], second[1]);
         assert!(exec.execute_batch(&[], &policy).is_empty());
+    }
+
+    /// An `8×8`, `M = 8` FX file with buddy mirroring, under a fault plan
+    /// that kills a device and injects read errors and latency spikes.
+    fn faulty_m8_file() -> DeclusteredFile<FxDistribution> {
+        let schema = Schema::builder()
+            .field("k", FieldType::Int, 8)
+            .field("cat", FieldType::Int, 8)
+            .devices(8)
+            .build()
+            .unwrap();
+        let fx = FxDistribution::auto(schema.system().clone()).unwrap();
+        let mut file = DeclusteredFile::new(schema, fx, 5).unwrap();
+        for i in 0..700 {
+            file.insert(Record::new(vec![Value::Int(i), Value::Int(i % 16)]))
+                .unwrap();
+        }
+        assert!(file.enable_mirroring());
+        file.install_fault_plan(Some(Arc::new(
+            pmr_rt::fault::FaultPlan::new(11)
+                .with_dead_device(2)
+                .with_read_error(0.2)
+                .with_latency(0.1, 50, 500),
+        )));
+        file
+    }
+
+    /// Runs `queries` through executors covering disjoint device ranges,
+    /// merges their yields, and checks each report bit-equal to
+    /// per-query [`execute_parallel_with`].
+    fn assert_split_matches_per_query<D: DistributionMethod + Clone + Send + Sync + 'static>(
+        file: &DeclusteredFile<D>,
+        execs: &[&Executor<D>],
+        queries: &[PartialMatchQuery],
+        policy: &ExecPolicy,
+    ) {
+        let planned: Vec<PlannedQuery> = queries
+            .iter()
+            .map(|q| plan_query(file.system(), file.method(), q))
+            .collect();
+        let mut gathered: Vec<Vec<DeviceYield>> = vec![Vec::new(); queries.len()];
+        for exec in execs {
+            for (all, part) in gathered
+                .iter_mut()
+                .zip(exec.execute_planned(&planned, policy))
+            {
+                all.extend(part);
+            }
+        }
+        for (q, yields) in queries.iter().zip(gathered) {
+            let got = merge_device_yields(yields, policy.effective_redundancy());
+            let mut want =
+                execute_parallel_with(file, q, &CostModel::main_memory(), policy).unwrap();
+            want.trace = None;
+            assert_eq!(got, want);
+        }
+    }
+
+    fn mixed_queries<D: DistributionMethod>(file: &DeclusteredFile<D>) -> Vec<PartialMatchQuery> {
+        [
+            vec![],
+            vec![("cat", Value::Int(3))],
+            vec![("k", Value::Int(2))],
+            vec![("k", Value::Int(1)), ("cat", Value::Int(6))],
+        ]
+        .iter()
+        .map(|specs| file.query(specs).unwrap())
+        .collect()
+    }
+
+    /// `W = 1` runs the whole batch inline on the caller: no pool at all.
+    #[test]
+    fn one_thread_runs_inline_without_a_pool() {
+        let file = faulty_m8_file();
+        let exec = Executor::with_threads(&file, CostModel::main_memory(), 0..8, 1);
+        assert!(exec.pool.is_none());
+        assert_eq!(exec.workers(), 1);
+        let policy = ExecPolicy {
+            seed: 11,
+            ..ExecPolicy::default()
+        };
+        assert_split_matches_per_query(&file, &[&exec], &mixed_queries(&file), &policy);
+    }
+
+    /// `W = 2` over an odd subrange (3..8 of M = 8), merged with the rest
+    /// of the devices run elsewhere, is bit-equal to the per-query path.
+    #[test]
+    fn two_threads_over_an_odd_subrange() {
+        let file = faulty_m8_file();
+        let head = Executor::with_threads(&file, CostModel::main_memory(), 0..3, 1);
+        let tail = Executor::with_threads(&file, CostModel::main_memory(), 3..8, 2);
+        assert_eq!(tail.workers(), 2);
+        let policy = ExecPolicy {
+            seed: 11,
+            ..ExecPolicy::default()
+        };
+        let queries = mixed_queries(&file);
+        // Reversed gather order, and repeated: the shared device cursor
+        // hands devices to different threads on every batch.
+        for _ in 0..4 {
+            assert_split_matches_per_query(&file, &[&tail, &head], &queries, &policy);
+        }
+    }
+
+    /// A thread count above the range length is clamped to one thread
+    /// per device.
+    #[test]
+    fn thread_count_is_clamped_to_the_range() {
+        let file = faulty_m8_file();
+        let exec = Executor::with_threads(&file, CostModel::main_memory(), 0..8, 64);
+        assert_eq!(exec.workers(), 8);
+        let small = Executor::with_threads(&file, CostModel::main_memory(), 5..6, 4);
+        assert_eq!(small.workers(), 1);
+        assert!(small.pool.is_none());
+        let policy = ExecPolicy {
+            seed: 11,
+            ..ExecPolicy::default()
+        };
+        assert_split_matches_per_query(&file, &[&exec], &mixed_queries(&file), &policy);
+    }
+
+    /// The host-derived thread count never exceeds the device count.
+    #[test]
+    fn derived_thread_count_is_at_most_the_device_count() {
+        let file = build_file(10);
+        let exec = Executor::new(&file, CostModel::main_memory());
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(exec.workers(), cores.min(4) as u64);
+    }
+
+    /// A scan method that, while armed, panics on one kind of thread: a
+    /// resident pool thread (`on_pool`) or the calling thread. Each armed
+    /// call first waits (bounded) until both kinds of thread have entered
+    /// it, so with `W = 2` each thread is known to be executing a device
+    /// when the panic fires.
+    #[derive(Clone)]
+    struct PanickingScan {
+        sys: SystemConfig,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+        on_pool: bool,
+        pool_entered: Arc<std::sync::atomic::AtomicBool>,
+        caller_entered: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl DistributionMethod for PanickingScan {
+        fn device_of(&self, bucket: &[u64]) -> u64 {
+            if self.armed.load(Ordering::SeqCst) {
+                let on_pool = std::thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with("pmr-resident"));
+                let (mine, other) = if on_pool {
+                    (&self.pool_entered, &self.caller_entered)
+                } else {
+                    (&self.caller_entered, &self.pool_entered)
+                };
+                mine.store(true, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while !other.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                if on_pool == self.on_pool {
+                    panic!(
+                        "device enumeration failed on the {} thread",
+                        if on_pool { "pool" } else { "caller" }
+                    );
+                }
+            }
+            bucket.iter().sum::<u64>() % self.sys.devices()
+        }
+        fn system(&self) -> &SystemConfig {
+            &self.sys
+        }
+        fn name(&self) -> String {
+            "panicking-scan".into()
+        }
+    }
+
+    /// A panic while executing a device re-raises on the caller, whether
+    /// the device ran on the caller or on a pool thread, and the same
+    /// executor then serves a clean batch bit-equal to the per-query path.
+    #[test]
+    fn device_panic_reraises_on_the_caller_and_the_executor_recovers() {
+        for on_pool in [false, true] {
+            let schema = Schema::builder()
+                .field("k", FieldType::Int, 8)
+                .field("cat", FieldType::Int, 8)
+                .devices(8)
+                .build()
+                .unwrap();
+            let method = PanickingScan {
+                sys: schema.system().clone(),
+                armed: Arc::default(),
+                on_pool,
+                pool_entered: Arc::default(),
+                caller_entered: Arc::default(),
+            };
+            let armed = Arc::clone(&method.armed);
+            let mut file = DeclusteredFile::new(schema, method, 5).unwrap();
+            for i in 0..300 {
+                file.insert(Record::new(vec![Value::Int(i), Value::Int(i % 16)]))
+                    .unwrap();
+            }
+            let exec = Executor::with_threads(&file, CostModel::main_memory(), 0..8, 2);
+            let policy = ExecPolicy::default();
+            let queries = mixed_queries(&file);
+            armed.store(true, Ordering::SeqCst);
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                exec.execute_batch(&queries, &policy)
+            }))
+            .expect_err("an armed batch must panic");
+            armed.store(false, Ordering::SeqCst);
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let side = if on_pool { "pool" } else { "caller" };
+            assert_eq!(
+                message,
+                format!("device enumeration failed on the {side} thread")
+            );
+            assert_split_matches_per_query(&file, &[&exec], &queries, &policy);
+        }
     }
 
     /// A corrupted resident page fails the whole execution with a decode

@@ -37,8 +37,9 @@ fn plan_gate() -> &'static Mutex<()> {
 }
 
 /// The paper's Table 7 system (6 fields of 8 buckets, M = 32), mirrored,
-/// built once: the resident executor's 32 workers are shared by every
-/// case, which is exactly the deployment model under test.
+/// built once: the resident executor's threads (min(32, cores), the
+/// caller included) are shared by every case, which is exactly the
+/// deployment model under test.
 fn table7() -> (
     &'static DeclusteredFile<FxDistribution>,
     &'static Executor<FxDistribution>,
